@@ -11,7 +11,6 @@
 pub mod confidential;
 pub mod mempool;
 pub mod network;
-pub mod parallel_evm;
 pub mod pipeline;
 pub mod regress;
 pub mod sessions;

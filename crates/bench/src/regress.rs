@@ -7,10 +7,10 @@
 //! it sits a registry of *gated metrics*, each with a directional
 //! tolerance:
 //!
-//! * ratios that must not sink (admission speedup, parallel seal
-//!   speedup, pooled txs-per-block), and
+//! * ratios that must not sink (admission speedup, pooled
+//!   txs-per-block), and
 //! * costs that must not blow an absolute budget (root-commitment
-//!   overhead, conflict-light abort rate).
+//!   overhead).
 //!
 //! Raw nanosecond timings are deliberately *not* gated — CI machines
 //! vary too much — the gated numbers are ratios measured inside one
@@ -295,25 +295,6 @@ fn trie_overhead_pct_256(doc: &Json) -> Option<f64> {
     .as_f64()
 }
 
-fn parallel_point_256<'a>(doc: &'a Json, workload: &str) -> Option<&'a Json> {
-    doc.find_in("points", |p| {
-        p.get("workload").and_then(Json::as_str) == Some(workload)
-            && p.get("n").and_then(Json::as_f64) == Some(256.0)
-    })
-}
-
-fn parallel_light_speedup_256(doc: &Json) -> Option<f64> {
-    parallel_point_256(doc, "conflict_light")?
-        .get("speedup")?
-        .as_f64()
-}
-
-fn parallel_light_abort_rate_256(doc: &Json) -> Option<f64> {
-    parallel_point_256(doc, "conflict_light")?
-        .get("abort_rate")?
-        .as_f64()
-}
-
 fn network_point_at<'a>(doc: &'a Json, section: &str, nodes: f64) -> Option<&'a Json> {
     doc.find_in(section, |p| {
         p.get("nodes").and_then(Json::as_f64) == Some(nodes)
@@ -390,18 +371,6 @@ pub fn registry() -> Vec<Metric> {
             name: "trie seal overhead_pct @256",
             extract: trie_overhead_pct_256,
             tolerance: Tolerance::AbsoluteMax(25.0),
-        },
-        Metric {
-            file: "BENCH_parallel_evm.json",
-            name: "parallel light speedup @256",
-            extract: parallel_light_speedup_256,
-            tolerance: Tolerance::MaxDropPct(25.0),
-        },
-        Metric {
-            file: "BENCH_parallel_evm.json",
-            name: "parallel light abort_rate @256",
-            extract: parallel_light_abort_rate_256,
-            tolerance: Tolerance::AbsoluteMax(0.0),
         },
         // Deterministic network numbers: convergence is a pure function
         // of the round protocol, so any rise means gossip or fork

@@ -237,43 +237,6 @@ impl WorldState {
         self.overlay.addresses()
     }
 
-    /// Sets a balance directly, outside any journal (commit path of the
-    /// optimistic executor: effects are final when applied).
-    pub(crate) fn set_balance_raw(&mut self, a: Address, v: U256) {
-        self.overlay.account_mut(a).balance = v;
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Adds `delta` wei to a balance directly (the executor's
-    /// commutative coinbase fee credit).
-    pub(crate) fn add_balance_raw(&mut self, a: Address, delta: U256) {
-        let acct = self.overlay.account_mut(a);
-        acct.balance = acct.balance.wrapping_add(delta);
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Sets a nonce directly, outside any journal.
-    pub(crate) fn set_nonce_raw(&mut self, a: Address, v: u64) {
-        self.overlay.account_mut(a).nonce = v;
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Installs code (with its precomputed hash) directly, outside any
-    /// journal.
-    pub(crate) fn set_code_raw(&mut self, a: Address, code: Arc<Vec<u8>>, hash: H256) {
-        let acct = self.overlay.account_mut(a);
-        acct.code = code;
-        acct.code_hash = hash;
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Writes a storage slot directly, outside any journal (zero
-    /// removes the entry, like a reverted write would).
-    pub(crate) fn set_storage_raw(&mut self, a: Address, key: U256, value: U256) {
-        self.overlay.set_storage(a, key, value);
-        self.touch_storage(a, key);
-    }
-
     /// Folds every dirty slot and account into the authenticated tries
     /// and returns the account-trie root — the `state_root` a sealed
     /// block commits to. Called once per block (not per op): between

@@ -8,7 +8,6 @@
 //! payment.
 
 use crate::block::{self, Block, FailureReason, Receipt};
-use crate::parallel::{self, ExecMode, SealReport};
 use crate::proof::{AccountProof, ReceiptProof, StorageProof};
 use crate::state::{DiffLayer, WorldState};
 use crate::tx::{SignedTransaction, Transaction, Wallet};
@@ -178,12 +177,6 @@ pub struct ChainConfig {
     /// keeps the archive off — live tries only, no extra memory.
     /// Requires `commit_roots`.
     pub prune_window: Option<usize>,
-    /// How blocks execute their transactions. The default honours the
-    /// `SC_EXEC_MODE` environment variable (see [`ExecMode::from_env`])
-    /// and is [`ExecMode::Serial`] when unset, so the chaos suite and
-    /// every existing test keep the reference executor unless CI
-    /// explicitly opts a whole process into [`ExecMode::Parallel`].
-    pub exec: ExecMode,
 }
 
 impl Default for ChainConfig {
@@ -196,7 +189,6 @@ impl Default for ChainConfig {
             default_gas_price: sc_primitives::gwei(1),
             commit_roots: true,
             prune_window: None,
-            exec: ExecMode::from_env(),
         }
     }
 }
@@ -208,11 +200,11 @@ impl Default for ChainConfig {
 /// once here; the mining commit phase and [`Testnet::effective_nonce`]
 /// read the cached fields instead of re-deriving per transaction (the
 /// seed re-recovered the sender O(pending) times per submit).
-pub(crate) struct PendingTx {
-    pub(crate) signed: SignedTransaction,
-    pub(crate) sender: Address,
-    pub(crate) hash: H256,
-    pub(crate) intrinsic: u64,
+struct PendingTx {
+    signed: SignedTransaction,
+    sender: Address,
+    hash: H256,
+    intrinsic: u64,
 }
 
 impl PendingTx {
@@ -263,8 +255,6 @@ pub struct Testnet {
     /// Jumpdest analyses shared by every EVM this chain spins up, so a
     /// contract's bitmap is computed once across all blocks and calls.
     analysis_cache: Arc<AnalysisCache>,
-    /// Executor statistics of the most recently sealed block.
-    last_seal: Option<SealReport>,
     /// Canonical hash → height index, maintained through seals and
     /// reorgs so gossip dedup and fork-point walks are O(1) per block.
     canon_index: HashMap<H256, u64>,
@@ -346,7 +336,6 @@ impl Testnet {
             log_index: HashMap::new(),
             minted: U256::ZERO,
             analysis_cache: Arc::new(AnalysisCache::new()),
-            last_seal: None,
             canon_index,
             side_blocks: HashMap::new(),
             history: None,
@@ -796,8 +785,7 @@ impl Testnet {
     /// this is purely the sequential commit phase.
     pub fn mine_block(&mut self) -> Block {
         let txs = self.take_minable();
-        let mode = self.config.exec;
-        self.seal_block(txs, mode)
+        self.seal_block(txs)
     }
 
     /// Reference mining path: ignores every admission-time cache and
@@ -813,40 +801,22 @@ impl Testnet {
             .into_iter()
             .filter_map(|p| PendingTx::derive(p.signed).ok())
             .collect();
-        self.seal_block(txs, ExecMode::Serial)
-    }
-
-    /// Executor statistics of the most recently mined block (`None`
-    /// before the first seal). Benches and tests read the speculation /
-    /// re-execution split here to assert conflict behaviour.
-    pub fn last_seal_report(&self) -> Option<SealReport> {
-        self.last_seal
+        self.seal_block(txs)
     }
 
     /// Commit phase shared by both mining paths: executes the block's
-    /// transactions under `mode`, then seals the header.
-    fn seal_block(&mut self, txs: Vec<PendingTx>, mode: ExecMode) -> Block {
+    /// transactions in order against the live state, then seals the
+    /// header.
+    fn seal_block(&mut self, txs: Vec<PendingTx>) -> Block {
         self.time += self.config.block_interval;
         let number = self.head().number + 1;
         let timestamp = self.time;
         let parent_hash = self.head().hash;
 
-        let (mut receipts, speculative, reexecuted) = match mode {
-            ExecMode::Parallel => self.execute_block_parallel(&txs, number, timestamp),
-            ExecMode::Serial => {
-                let receipts = txs
-                    .iter()
-                    .map(|ptx| self.execute_transaction(ptx, number, timestamp))
-                    .collect();
-                (receipts, 0, 0)
-            }
-        };
-        self.last_seal = Some(SealReport {
-            mode,
-            txs: txs.len(),
-            speculative,
-            reexecuted,
-        });
+        let mut receipts: Vec<Receipt> = txs
+            .iter()
+            .map(|ptx| self.execute_transaction(ptx, number, timestamp))
+            .collect();
         let mut block_gas = 0u64;
         for (index, receipt) in receipts.iter_mut().enumerate() {
             receipt.tx_index = index;
@@ -924,44 +894,6 @@ impl Testnet {
             h.open_minted = self.minted;
             h.open_time = self.time;
         }
-    }
-
-    /// Optimistic parallel block execution: speculate every transaction
-    /// concurrently over the pre-block state, then commit in block
-    /// order — validated speculations apply their buffered write sets,
-    /// conflicting ones re-execute serially at their slot. Returns the
-    /// receipts plus the speculative/re-executed split.
-    fn execute_block_parallel(
-        &mut self,
-        txs: &[PendingTx],
-        number: u64,
-        timestamp: u64,
-    ) -> (Vec<Receipt>, usize, usize) {
-        let outcomes = parallel::speculate_block(
-            &self.state,
-            &self.config,
-            &self.analysis_cache,
-            txs,
-            number,
-            timestamp,
-        );
-        let coinbase = self.config.coinbase;
-        let mut receipts = Vec::with_capacity(txs.len());
-        let mut speculative = 0;
-        let mut reexecuted = 0;
-        for (ptx, outcome) in txs.iter().zip(outcomes) {
-            match outcome.try_commit(&mut self.state, coinbase) {
-                Some(receipt) => {
-                    speculative += 1;
-                    receipts.push(receipt);
-                }
-                None => {
-                    reexecuted += 1;
-                    receipts.push(self.execute_transaction(ptx, number, timestamp));
-                }
-            }
-        }
-        (receipts, speculative, reexecuted)
     }
 
     /// Executes one transaction against the state (validation and sender
@@ -1511,8 +1443,6 @@ impl Testnet {
                 error = Some("sender cannot cover upfront cost");
                 break;
             }
-            // Serial replay: the parallel executor is equivalence-gated
-            // to this path, so roots match however the miner sealed.
             receipts.push(self.execute_transaction(ptx, number, timestamp));
         }
         let mut block_gas = 0u64;
@@ -2306,83 +2236,6 @@ mod tests {
 
         assert_eq!(fast_block.hash, ref_block.hash);
         assert_eq!(fast_block.gas_used, ref_block.gas_used);
-    }
-
-    #[test]
-    fn parallel_blocks_match_serial_and_report_conflicts() {
-        let run = |exec: ExecMode| {
-            let mut net = Testnet::with_config(ChainConfig {
-                exec,
-                ..ChainConfig::default()
-            });
-            let wallets: Vec<Wallet> = (0..6)
-                .map(|i| net.funded_wallet(&format!("w{i}"), ether(10)))
-                .collect();
-            // Disjoint transfers (speculate cleanly) plus two txs
-            // hitting the same recipient (the second conflicts on the
-            // recipient balance) and a contract deploy.
-            for (i, w) in wallets.iter().enumerate().take(4) {
-                let tx = Transaction {
-                    nonce: 0,
-                    gas_price: sc_primitives::gwei(1),
-                    gas_limit: 21_000,
-                    to: Some(Address([10 + i as u8; 20])),
-                    value: U256::from_u64(100 + i as u64),
-                    data: vec![],
-                };
-                net.submit(tx.sign(&w.key)).unwrap();
-            }
-            for w in &wallets[4..] {
-                let tx = Transaction {
-                    nonce: 0,
-                    gas_price: sc_primitives::gwei(1),
-                    gas_limit: 21_000,
-                    to: Some(Address([0x77; 20])),
-                    value: U256::from_u64(5),
-                    data: vec![],
-                };
-                net.submit(tx.sign(&w.key)).unwrap();
-            }
-            let deployer = net.funded_wallet("deployer", ether(10));
-            let initcode = sc_evm::wrap_initcode(&[0x60, 0x2a, 0x60, 0x00, 0x55, 0x00]);
-            let tx = Transaction {
-                nonce: 0,
-                gas_price: sc_primitives::gwei(1),
-                gas_limit: 200_000,
-                to: None,
-                value: U256::ZERO,
-                data: initcode,
-            };
-            net.submit(tx.sign(&deployer.key)).unwrap();
-            let block = net.mine_block();
-            (block, net)
-        };
-
-        let (pb, pnet) = run(ExecMode::Parallel);
-        let (sb, snet) = run(ExecMode::Serial);
-        assert_eq!(pb.hash, sb.hash, "parallel block is byte-identical");
-        assert_eq!(pb.state_root, sb.state_root);
-        assert_eq!(pb.receipts_root, sb.receipts_root);
-        assert_eq!(pb.gas_used, sb.gas_used);
-        for t in &pb.transactions {
-            assert_eq!(pnet.receipt(t.hash()), snet.receipt(t.hash()));
-        }
-
-        let report = pnet.last_seal_report().unwrap();
-        assert_eq!(report.mode, ExecMode::Parallel);
-        assert_eq!(report.txs, 7);
-        assert_eq!(report.speculative + report.reexecuted, report.txs);
-        assert!(
-            report.speculative >= 5,
-            "disjoint txs commit speculatively: {report:?}"
-        );
-        assert!(
-            report.reexecuted >= 1,
-            "second tx into the shared recipient conflicts: {report:?}"
-        );
-        let serial_report = snet.last_seal_report().unwrap();
-        assert_eq!(serial_report.mode, ExecMode::Serial);
-        assert_eq!(serial_report.speculative, 0);
     }
 
     #[test]

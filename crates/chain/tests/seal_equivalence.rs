@@ -1,13 +1,14 @@
-//! Serial ≡ parallel equivalence: a block mined by the optimistic
-//! parallel executor must be byte-for-byte what `mine_block_serial`
-//! produces — block hash, `state_root`, `receipts_root`, gas, every
-//! receipt, every log — on *adversarial, conflict-heavy* blocks: many
-//! transactions hammering the same account and the same storage slot,
-//! read-modify-write chains, deploys and reverts mixed in, several
-//! transactions per sender.
+//! Seal equivalence: a block sealed by `mine_block`, which consumes the
+//! senders, hashes and intrinsic gas cached at admission, must be
+//! byte-for-byte what the reference `mine_block_serial` produces after
+//! re-deriving all of them — block hash, `state_root`, `receipts_root`,
+//! gas, every receipt, every log — on *adversarial, conflict-heavy*
+//! blocks: many transactions hammering the same account and the same
+//! storage slot, read-modify-write chains, deploys and reverts mixed in,
+//! several transactions per sender.
 
 use proptest::prelude::*;
-use sc_chain::{ChainConfig, ExecMode, Testnet, Transaction, Wallet};
+use sc_chain::{Testnet, Transaction, Wallet};
 use sc_primitives::{ether, Address, U256};
 
 /// Runtime that stores calldata word 1 at the slot named by calldata
@@ -95,13 +96,10 @@ struct Fixture {
     logger: Address,
 }
 
-/// Boots a chain in `mode`, funds the senders and deploys the four
-/// fixture contracts (each in its own setup block).
-fn fixture(mode: ExecMode) -> Fixture {
-    let mut net = Testnet::with_config(ChainConfig {
-        exec: mode,
-        ..ChainConfig::default()
-    });
+/// Boots a chain, funds the senders and deploys the four fixture
+/// contracts (each in its own setup block).
+fn fixture() -> Fixture {
+    let mut net = Testnet::new();
     let wallets: Vec<Wallet> = (0..SENDERS)
         .map(|i| net.funded_wallet(&format!("w{i}"), ether(100)))
         .collect();
@@ -137,10 +135,9 @@ fn fixture(mode: ExecMode) -> Fixture {
 #[allow(clippy::type_complexity)]
 fn run(
     ops: &[Op],
-    mode: ExecMode,
     reference_serial: bool,
 ) -> (Fixture, sc_chain::Block, Vec<Option<sc_chain::Receipt>>) {
-    let mut fx = fixture(mode);
+    let mut fx = fixture();
     let mut hashes = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let w = &fx.wallets[op.sender];
@@ -230,53 +227,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline property: one conflict-heavy block, mined by the
-    /// optimistic parallel executor vs the serial reference path, is
+    /// admission-cached path vs the serial reference path, is
     /// byte-for-byte identical in every observable way.
     #[test]
-    fn parallel_block_equals_serial_reference(ops in arb_block()) {
-        let (pfx, pblock, preceipts) = run(&ops, ExecMode::Parallel, false);
-        let (sfx, sblock, sreceipts) = run(&ops, ExecMode::Serial, true);
+    fn cached_block_equals_serial_reference(ops in arb_block()) {
+        let (cfx, cblock, creceipts) = run(&ops, false);
+        let (sfx, sblock, sreceipts) = run(&ops, true);
 
-        prop_assert_eq!(pblock.hash, sblock.hash, "block hash diverged");
-        prop_assert_eq!(pblock.state_root, sblock.state_root);
-        prop_assert_eq!(pblock.receipts_root, sblock.receipts_root);
-        prop_assert_eq!(pblock.gas_used, sblock.gas_used);
-        prop_assert_eq!(&preceipts, &sreceipts, "receipts diverged");
+        prop_assert_eq!(cblock.hash, sblock.hash, "block hash diverged");
+        prop_assert_eq!(cblock.state_root, sblock.state_root);
+        prop_assert_eq!(cblock.receipts_root, sblock.receipts_root);
+        prop_assert_eq!(cblock.gas_used, sblock.gas_used);
+        prop_assert_eq!(&creceipts, &sreceipts, "receipts diverged");
 
-        let head = pblock.number;
+        let head = cblock.number;
         prop_assert_eq!(
-            pfx.net.logs(0, head, None),
+            cfx.net.logs(0, head, None),
             sfx.net.logs(0, head, None),
             "logs diverged"
         );
-        for (pw, sw) in pfx.wallets.iter().zip(&sfx.wallets) {
-            prop_assert_eq!(pfx.net.balance_of(pw.address), sfx.net.balance_of(sw.address));
-            prop_assert_eq!(pfx.net.nonce_of(pw.address), sfx.net.nonce_of(sw.address));
+        for (cw, sw) in cfx.wallets.iter().zip(&sfx.wallets) {
+            prop_assert_eq!(cfx.net.balance_of(cw.address), sfx.net.balance_of(sw.address));
+            prop_assert_eq!(cfx.net.nonce_of(cw.address), sfx.net.nonce_of(sw.address));
         }
         prop_assert_eq!(
-            pfx.net.balance_of(pfx.net.config().coinbase),
+            cfx.net.balance_of(cfx.net.config().coinbase),
             sfx.net.balance_of(sfx.net.config().coinbase),
             "coinbase fees diverged"
         );
         prop_assert_eq!(
-            pfx.net.storage_at(pfx.store, U256::ZERO),
+            cfx.net.storage_at(cfx.store, U256::ZERO),
             sfx.net.storage_at(sfx.store, U256::ZERO)
         );
         prop_assert_eq!(
-            pfx.net.storage_at(pfx.rmw, U256::ZERO),
+            cfx.net.storage_at(cfx.rmw, U256::ZERO),
             sfx.net.storage_at(sfx.rmw, U256::ZERO)
         );
-
-        // The report accounts for every transaction in the block.
-        let report = pfx.net.last_seal_report().expect("sealed at least once");
-        prop_assert_eq!(report.mode, ExecMode::Parallel);
-        prop_assert_eq!(report.txs, pblock.transactions.len());
-        prop_assert_eq!(report.speculative + report.reexecuted, report.txs);
     }
 
     /// Same-sender nonce chains: every tx after a sender's first reads
-    /// the nonce the previous one bumped, so chains re-execute — and
-    /// still land byte-identical.
+    /// the nonce the previous one bumped, and the block still lands
+    /// byte-identical.
     #[test]
     fn nonce_chains_from_one_sender_stay_identical(n in 2usize..12) {
         let ops: Vec<Op> = (0..n)
@@ -286,26 +277,16 @@ proptest! {
                 wei: 1 + i as u64,
             })
             .collect();
-        let (pfx, pblock, _) = run(&ops, ExecMode::Parallel, false);
-        let (_, sblock, _) = run(&ops, ExecMode::Serial, true);
-        prop_assert_eq!(pblock.hash, sblock.hash);
-        let report = pfx.net.last_seal_report().expect("sealed");
-        // The first tx in the chain speculates against the true base
-        // state and commits; later ones conflict on the sender nonce
-        // and balance.
-        prop_assert!(
-            report.reexecuted >= report.txs.saturating_sub(1).min(1),
-            "chained txs must conflict: {:?}",
-            report
-        );
+        let (_, cblock, _) = run(&ops, false);
+        let (_, sblock, _) = run(&ops, true);
+        prop_assert_eq!(cblock.hash, sblock.hash);
     }
 }
 
-/// Deterministic conflict accounting: N read-modify-write txs on one
-/// slot from distinct senders — the first commits speculatively, every
-/// other conflicts, regardless of thread scheduling.
+/// N read-modify-write txs on one slot from distinct senders: every
+/// increment lands exactly once, in block order.
 #[test]
-fn rmw_hot_slot_conflicts_are_deterministic() {
+fn rmw_hot_slot_increments_land_exactly_once() {
     let ops: Vec<Op> = (0..SENDERS)
         .map(|sender| Op {
             sender,
@@ -313,24 +294,20 @@ fn rmw_hot_slot_conflicts_are_deterministic() {
             wei: 1,
         })
         .collect();
-    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel, false);
-    let (_, sblock, _) = run(&ops, ExecMode::Serial, true);
-    assert_eq!(pblock.hash, sblock.hash);
+    let (cfx, cblock, _) = run(&ops, false);
+    let (_, sblock, _) = run(&ops, true);
+    assert_eq!(cblock.hash, sblock.hash);
     assert_eq!(
-        pfx.net.storage_at(pfx.rmw, U256::ZERO),
+        cfx.net.storage_at(cfx.rmw, U256::ZERO),
         U256::from_u64(SENDERS as u64),
         "every increment landed exactly once"
     );
-    let report = pfx.net.last_seal_report().expect("sealed");
-    assert_eq!(report.txs, SENDERS);
-    assert_eq!(report.speculative, 1, "only the first RMW validates");
-    assert_eq!(report.reexecuted, SENDERS - 1);
 }
 
 /// Disjoint workload: distinct senders, distinct slots, distinct
-/// recipients — everything commits speculatively.
+/// recipients.
 #[test]
-fn disjoint_block_commits_fully_speculatively() {
+fn disjoint_block_equals_serial_reference() {
     let ops: Vec<Op> = (0..SENDERS)
         .map(|sender| Op {
             sender,
@@ -342,14 +319,8 @@ fn disjoint_block_commits_fully_speculatively() {
             wei: 10 + sender as u64,
         })
         .collect();
-    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel, false);
-    let (_, sblock, _) = run(&ops, ExecMode::Serial, true);
-    assert_eq!(pblock.hash, sblock.hash);
-    let report = pfx.net.last_seal_report().expect("sealed");
-    assert_eq!(report.txs, SENDERS);
-    assert_eq!(
-        report.speculative, SENDERS,
-        "no conflicts in disjoint block"
-    );
-    assert_eq!(report.reexecuted, 0);
+    let (_, cblock, _) = run(&ops, false);
+    let (_, sblock, _) = run(&ops, true);
+    assert_eq!(cblock.hash, sblock.hash);
+    assert_eq!(cblock.transactions.len(), SENDERS);
 }

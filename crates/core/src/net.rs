@@ -34,10 +34,11 @@
 //! bit-identical chains on every node.
 
 use crate::faults::{ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, WhisperFaults};
-use crate::session::scheduler::{build_session, session_wallets, ContractCache};
+use crate::session::scheduler::{
+    build_session, session_report, session_wallets, ContractCache, SlotState,
+};
 use crate::session::{
     BusPort, ChainPort, LightPort, LightStats, Session, SessionCtx, SessionReport, SessionSpec,
-    StepOutcome,
 };
 use crate::whisper::{Topic, Whisper};
 use sc_chain::{
@@ -521,16 +522,6 @@ impl Network {
     }
 }
 
-/// Where one networked session slot stands between rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NetSlotState {
-    Runnable,
-    Waiting(u64),
-    Pending,
-    Done,
-    Failed,
-}
-
 /// One session homed on a node, plus its private fault state. In light
 /// mode the slot additionally carries its own [`HeaderClient`] — the
 /// session's entire view of the chain — plus the light-fault schedule
@@ -547,7 +538,7 @@ struct NetSlot {
     client: Option<HeaderClient>,
     light_faults: LightFaults,
     light_stats: LightStats,
-    state: NetSlotState,
+    state: SlotState,
     error: Option<String>,
 }
 
@@ -648,7 +639,7 @@ impl NetworkScheduler {
                     client,
                     light_faults: LightFaults::new(&plan),
                     light_stats: LightStats::default(),
-                    state: NetSlotState::Runnable,
+                    state: SlotState::Runnable,
                     error: None,
                 }
             })
@@ -749,9 +740,7 @@ impl NetworkScheduler {
 
     /// True once every slot reached a terminal state.
     fn all_settled(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| matches!(s.state, NetSlotState::Done | NetSlotState::Failed))
+        self.slots.iter().all(|s| s.state.is_terminal())
     }
 
     /// The soonest wake target among waiting slots.
@@ -759,7 +748,7 @@ impl NetworkScheduler {
         self.slots
             .iter()
             .filter_map(|s| match s.state {
-                NetSlotState::Waiting(t) => Some(t),
+                SlotState::Waiting(t) => Some(t),
                 _ => None,
             })
             .min()
@@ -785,8 +774,8 @@ impl NetworkScheduler {
 
         let now_by_node: Vec<u64> = self.network.nodes.iter().map(|n| n.now()).collect();
         for slot in &mut self.slots {
-            if matches!(slot.state, NetSlotState::Waiting(t) if now_by_node[slot.home] >= t) {
-                slot.state = NetSlotState::Runnable;
+            if matches!(slot.state, SlotState::Waiting(t) if now_by_node[slot.home] >= t) {
+                slot.state = SlotState::Runnable;
             }
         }
 
@@ -798,7 +787,7 @@ impl NetworkScheduler {
             let Network { nodes, bus, .. } = &mut self.network;
             let rejections = &mut self.rejections;
             for slot in self.slots.iter_mut() {
-                while slot.state == NetSlotState::Runnable {
+                while slot.state == SlotState::Runnable {
                     // Full-node slots step through `ChainPort::Node`
                     // against their home chain; light slots step through
                     // a `LightPort` wrapping their own header client,
@@ -842,16 +831,7 @@ impl NetworkScheduler {
                             slot.session.step(&mut ctx)
                         }
                     };
-                    match step {
-                        Ok(StepOutcome::Progress) => {}
-                        Ok(StepOutcome::Pending) => slot.state = NetSlotState::Pending,
-                        Ok(StepOutcome::WaitUntil(t)) => slot.state = NetSlotState::Waiting(t),
-                        Ok(StepOutcome::Done) => slot.state = NetSlotState::Done,
-                        Err(e) => {
-                            slot.state = NetSlotState::Failed;
-                            slot.error = Some(e.to_string());
-                        }
-                    }
+                    slot.state.apply(step, &mut slot.error);
                 }
             }
         }
@@ -892,8 +872,8 @@ impl NetworkScheduler {
             // an orphaned transaction — release them to observe it.
             let mut released = false;
             for slot in &mut self.slots {
-                if slot.state == NetSlotState::Pending {
-                    slot.state = NetSlotState::Runnable;
+                if slot.state == SlotState::Pending {
+                    slot.state = SlotState::Runnable;
                     released = true;
                 }
             }
@@ -938,16 +918,7 @@ impl NetworkScheduler {
         self.slots
             .iter()
             .enumerate()
-            .map(|(id, slot)| SessionReport {
-                id,
-                kind: slot.kind,
-                outcome: slot.session.outcome_label(),
-                error: slot.error.clone(),
-                total_gas: slot.session.total_gas(),
-                stage_gas: slot.session.gas_by_stage(),
-                txs: slot.session.tx_trace(),
-                messages_posted: slot.session.messages_posted(),
-            })
+            .map(|(id, slot)| session_report(id, slot.kind, slot.session.as_ref(), &slot.error))
             .collect()
     }
 }

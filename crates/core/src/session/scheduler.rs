@@ -24,7 +24,7 @@ use super::{
 use crate::challenge_protocol::{CrashPoint, SubmitStrategy, WatchStrategy};
 use crate::faults::{ChainFaults, FaultPlan, WhisperFaults};
 use crate::participant::{Participant, Strategy};
-use crate::protocol::GameConfig;
+use crate::protocol::{GameConfig, ProtocolError};
 use crate::whisper::{Topic, Whisper};
 use sc_chain::{PoolConfig, SignedTransaction, Testnet, TxError};
 use sc_contracts::challenge::ChallengeContracts;
@@ -159,19 +159,66 @@ impl SchedulerStats {
     }
 }
 
-/// Where one slot stands between ticks.
+/// Where one slot stands between ticks (shared with the network
+/// scheduler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
+pub(crate) enum SlotState {
     /// Step it this tick.
     Runnable,
-    /// Asleep until the shared clock reaches the target.
+    /// Asleep until the (home) clock reaches the target.
     Waiting(u64),
-    /// Has a transaction in the shared outbox / mempool.
+    /// Has a transaction in an outbox / mempool.
     Pending,
     /// Finished with a valid outcome.
     Done,
     /// Finished with a protocol error.
     Failed,
+}
+
+impl SlotState {
+    /// True once the slot can never step again.
+    pub(crate) fn is_terminal(self) -> bool {
+        matches!(self, SlotState::Done | SlotState::Failed)
+    }
+
+    /// Folds one [`Session::step`] result into the slot: `Progress`
+    /// keeps it runnable, a protocol error fails it and lands in
+    /// `error`.
+    pub(crate) fn apply(
+        &mut self,
+        step: Result<StepOutcome, ProtocolError>,
+        error: &mut Option<String>,
+    ) {
+        match step {
+            Ok(StepOutcome::Progress) => {}
+            Ok(StepOutcome::Pending) => *self = SlotState::Pending,
+            Ok(StepOutcome::WaitUntil(t)) => *self = SlotState::Waiting(t),
+            Ok(StepOutcome::Done) => *self = SlotState::Done,
+            Err(e) => {
+                *self = SlotState::Failed;
+                *error = Some(e.to_string());
+            }
+        }
+    }
+}
+
+/// Assembles slot `id`'s report once its session settled.
+pub(crate) fn session_report(
+    id: usize,
+    kind: &'static str,
+    session: &dyn Session,
+    error: &Option<String>,
+) -> SessionReport {
+    SessionReport {
+        id,
+        kind,
+        outcome: session.outcome_label(),
+        error: error.clone(),
+        total_gas: session.total_gas(),
+        stage_gas: session.gas_by_stage(),
+        txs: session.tx_trace(),
+        messages_posted: session.messages_posted(),
+    }
 }
 
 /// One multiplexed session plus its private fault state.
@@ -381,9 +428,7 @@ impl SessionScheduler {
 
     /// True once every slot reached a terminal state.
     fn all_settled(&self) -> bool {
-        self.slots
-            .iter()
-            .all(|s| matches!(s.state, SlotState::Done | SlotState::Failed))
+        self.slots.iter().all(|s| s.state.is_terminal())
     }
 
     /// Drives every session to completion and returns their reports in
@@ -402,16 +447,7 @@ impl SessionScheduler {
         self.slots
             .iter()
             .enumerate()
-            .map(|(id, slot)| SessionReport {
-                id,
-                kind: slot.kind,
-                outcome: slot.session.outcome_label(),
-                error: slot.error.clone(),
-                total_gas: slot.session.total_gas(),
-                stage_gas: slot.session.gas_by_stage(),
-                txs: slot.session.tx_trace(),
-                messages_posted: slot.session.messages_posted(),
-            })
+            .map(|(id, slot)| session_report(id, slot.kind, slot.session.as_ref(), &slot.error))
             .collect()
     }
 
@@ -452,16 +488,8 @@ impl SessionScheduler {
                         faults: &mut slot.whisper_faults,
                     },
                 };
-                match slot.session.step(&mut ctx) {
-                    Ok(StepOutcome::Progress) => {}
-                    Ok(StepOutcome::Pending) => slot.state = SlotState::Pending,
-                    Ok(StepOutcome::WaitUntil(t)) => slot.state = SlotState::Waiting(t),
-                    Ok(StepOutcome::Done) => slot.state = SlotState::Done,
-                    Err(e) => {
-                        slot.state = SlotState::Failed;
-                        slot.error = Some(e.to_string());
-                    }
-                }
+                let step = slot.session.step(&mut ctx);
+                slot.state.apply(step, &mut slot.error);
             }
         }
 

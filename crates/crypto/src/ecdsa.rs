@@ -294,7 +294,9 @@ pub fn recover_address(digest: H256, sig: &Signature) -> Result<Address, EcdsaEr
 }
 
 /// Below this many signatures, thread spawn overhead beats the win from
-/// parallel recovery (~100µs each), so the batch path stays serial.
+/// parallel recovery, so the batch path stays serial. One recovery costs
+/// about 1 ms (905–1177 µs on a 2-core x86 host); re-measure it as
+/// `crypto.recover_us` from `sessbench --workload mixed-pooled --trace 1`.
 const PARALLEL_RECOVERY_THRESHOLD: usize = 8;
 
 /// Recovers many addresses at once, fanning out across CPU cores.
